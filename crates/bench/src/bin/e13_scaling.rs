@@ -463,7 +463,10 @@ fn main() {
     let mut knees: Vec<(&str, usize)> = Vec::new();
     for algo in &layout_algos {
         let algo = algo.as_str();
-        wfl_bench::header(&["threads", "packed+unified", "padded+sharded", "speedup"]);
+        let packed_col = format!("packed+unified best-of-{layout_repeats} wins/s");
+        let padded_col = format!("padded+sharded best-of-{layout_repeats} wins/s");
+        let ratio_col = format!("aggregate ratio Σwins/Σwall over {layout_repeats}");
+        wfl_bench::header(&["threads", &packed_col, &padded_col, &ratio_col]);
         let mut padded_series: Vec<(usize, f64)> = Vec::new();
         for &threads in &thread_counts {
             // Interleave the two layouts with alternating order instead of
@@ -730,6 +733,9 @@ fn main() {
     std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
     println!("wfl fast/legacy at {top_threads} threads: {wfl_speedup_at_max:.2}x");
     println!("wfl laned/global at {top_threads} threads: {laned_over_global_at_max:.2}x");
-    println!("wfl padded+sharded/packed+unified at {top_threads} threads: {layout_speedup_at_max:.2}x");
+    println!(
+        "wfl padded+sharded/packed+unified at {top_threads} threads \
+         (aggregate ratio Σwins/Σwall over {layout_repeats} repeats): {layout_speedup_at_max:.2}x"
+    );
     println!("wrote BENCH_scaling.json");
 }

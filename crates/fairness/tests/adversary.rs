@@ -70,27 +70,38 @@ fn timed_adversarial_soak_crosses_epochs_for_full_budget() {
 /// The paper bound, deterministically: in the simulator the targeted
 /// adversary pushes real contention onto the victim, and the measured
 /// success rate must stay at or above `1/C_p = 1/nprocs` (κ = nprocs,
-/// L = 1). Repeat runs must reproduce the identical numbers.
+/// L = 1). Repeat runs must reproduce the identical numbers. The
+/// delays-off input (the E11 ablation arm) checks only safety and
+/// determinism: the paper's bound assumes the delays.
 #[test]
 fn sim_victim_holds_theorem_bound_deterministically() {
-    let run = || {
-        let mut spec = AdversarySpec::new(3, 60);
-        spec.strength = AdvStrength::Targeted;
-        spec.heap_words = 1 << 25;
-        run_adversary(&spec, wfl(3), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
-    };
-    let r = run();
-    assert!(r.safety_ok);
-    let v = r.victim_success();
-    assert_eq!(v.trials, 60);
-    assert!(
-        v.rate() >= 1.0 / 3.0,
-        "victim rate {:.3} below the 1/C_p bound under the adaptive adversary",
-        v.rate()
-    );
-    let r2 = run();
-    assert_eq!(v.successes, r2.victim_success().successes, "sim runs must be deterministic");
-    assert_eq!(r.attempts(), r2.attempts());
+    for delays in [true, false] {
+        let run = || {
+            let mut spec = AdversarySpec::new(3, 60);
+            spec.strength = AdvStrength::Targeted;
+            spec.heap_words = 1 << 25;
+            let algo = AlgoKind::Wfl { kappa: 3, delays, helping: true };
+            run_adversary(&spec, algo, &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
+        };
+        let r = run();
+        assert!(r.safety_ok, "delays={delays}: counter != recorded wins");
+        let v = r.victim_success();
+        assert_eq!(v.trials, 60);
+        if delays {
+            assert!(
+                v.rate() >= 1.0 / 3.0,
+                "victim rate {:.3} below the 1/C_p bound under the adaptive adversary",
+                v.rate()
+            );
+        }
+        let r2 = run();
+        assert_eq!(
+            v.successes,
+            r2.victim_success().successes,
+            "delays={delays}: sim runs must be deterministic"
+        );
+        assert_eq!(r.attempts(), r2.attempts(), "delays={delays}");
+    }
 }
 
 /// The exact critical section `run_adversary` registers, duplicated so the

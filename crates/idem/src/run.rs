@@ -133,7 +133,6 @@ impl<'c, 'h> IdemRun<'c, 'h> {
         loop {
             let s = self.ctx.read_acq(slot);
             if s & ST_MASK == ST_DONE {
-                wfl_runtime::trace::emit(|| format!("t={} pid={} idem.read cell={:?} slot={:?} -> {}", self.ctx.now(), self.ctx.pid(), cell_addr, slot, payload(s) as u32));
                 return payload(s) as u32;
             }
             let w = self.ctx.read_acq(cell_addr);
@@ -164,21 +163,7 @@ impl<'c, 'h> IdemRun<'c, 'h> {
         loop {
             let s = self.ctx.read_acq(slot);
             match s & ST_MASK {
-                ST_DONE => {
-                    wfl_runtime::trace::emit(|| {
-                        format!(
-                            "t={} pid={} idem.write cell={:?} slot={:?} tag={:x} v={} done (cell now {:x})",
-                            self.ctx.now(),
-                            self.ctx.pid(),
-                            cell_addr,
-                            slot,
-                            tag,
-                            value,
-                            self.ctx.heap().peek(cell_addr)
-                        )
-                    });
-                    return;
-                }
+                ST_DONE => return,
                 ST_EMPTY => {
                     // Propose what we see as THE witness. If our slot read
                     // was stale (the op has advanced), this CAS fails and
@@ -197,20 +182,7 @@ impl<'c, 'h> IdemRun<'c, 'h> {
                     }
                     // Apply from exactly the agreed witness; since `w` can
                     // never recur, at most one such CAS ever succeeds.
-                    let ok = self.ctx.cas_bool_sync(cell_addr, w, cell::pack(tag, value));
-                    wfl_runtime::trace::emit(|| {
-                        format!(
-                            "t={} pid={} idem.write cell={:?} slot={:?} tag={:x} v={} apply from {:x} ok={}",
-                            self.ctx.now(),
-                            self.ctx.pid(),
-                            cell_addr,
-                            slot,
-                            tag,
-                            value,
-                            w,
-                            ok
-                        )
-                    });
+                    self.ctx.cas_bool_sync(cell_addr, w, cell::pack(tag, value));
                 }
                 _ => unreachable!("corrupt log slot state {s:#x}"),
             }

@@ -8,10 +8,10 @@
 //! single-writer stores into the caller's own ring — no locks, no
 //! allocation, no shared cache lines beyond the flag.
 //!
-//! The recorder is global (like `wfl_runtime::trace`) because the emit
-//! sites live deep inside `wfl_core::trylock`, which deliberately has no
-//! side channel for observers. Single-writer safety holds because ring
-//! index = pid, and a pid runs on exactly one thread in both backends;
+//! The recorder is global because the emit sites live deep inside
+//! `wfl_core::trylock`, which deliberately has no side channel for
+//! observers. Single-writer safety holds because ring index = pid, and
+//! a pid runs on exactly one thread in both backends;
 //! the control ring ([`CTRL_PID`]) is written by driver machinery that
 //! is itself serialized (the real-mode injector thread, the simulator's
 //! gate, an epoch leader at a barrier).

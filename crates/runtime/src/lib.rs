@@ -64,7 +64,6 @@ pub mod rng;
 pub mod schedule;
 pub mod sim;
 pub mod stats;
-pub mod trace;
 
 pub use ctx::{ClockMode, Ctx, OrderTier};
 pub use epoch::{run_epoch_worker, Arrival, EpochState, EpochSync};
