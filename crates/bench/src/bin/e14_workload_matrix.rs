@@ -261,7 +261,10 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
 
     let mut cells = 0u64;
     for workload in WORKLOADS {
-        wfl_bench::header(&["cell", "mode", "attempts", "wins", "success", "p99 steps", "wall (s)", "safety"]);
+        wfl_bench::header(&[
+            "cell", "mode", "attempts", "wins", "success",
+            "p99 steps (hist upper edge, <= +1/32)", "wall (s)", "safety",
+        ]);
         for &row_threads in p.thread_counts {
             let threads = cell_procs(workload, row_threads);
             if threads != row_threads && p.thread_counts.contains(&threads) {
@@ -288,7 +291,7 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
                         mode.label().to_string(),
                         r.attempts.to_string(),
                         r.wins.to_string(),
-                        format!("{:.3}", r.success.rate()),
+                        format!("{:.3}", r.success().rate()),
                         r.steps.percentile(0.99).to_string(),
                         format!("{wall:.4}"),
                         "ok".to_string(),

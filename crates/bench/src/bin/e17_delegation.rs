@@ -7,7 +7,7 @@
 //! hot path — and gives up exactly what the paper refuses to give up:
 //! **wait-freedom** (a frozen combiner wedges every pending request) and
 //! per-attempt **fairness guarantees**. wfl's combining fast path
-//! ([`LockConfig::combine`]) takes the batching idea without the
+//! ([`wfl_core::LockConfig::combine`]) takes the batching idea without the
 //! structural cost: an ordinary tryLock *winner* claims compatible pending
 //! descriptors and runs them before releasing, so batching is
 //! opportunistic, losers are never parked behind a combiner, and a frozen
@@ -25,7 +25,7 @@
 //!   claim, gated in `--smoke`: under freezes fc and ccsynch **lose
 //!   wait-freedom** — their combiner is a single point of failure, so
 //!   pending requests blow their deadline budgets spinning on it (aborts
-//!   appear, abort p99 reaches the SLO, and goodput degrades below
+//!   appear, every one at or past the SLO, and goodput degrades below
 //!   wfl+combine's faulted/fault-free ratio; fc additionally collapses in
 //!   aggregate, ccsynch's slack queue keeps aggregate throughput up while
 //!   individual attempts stall past their SLO) — while wfl+combine keeps
@@ -46,10 +46,11 @@
 //!         and a faulted combining cell replays deterministically;
 //!     (c) wfl+combine keeps wait-freedom under injected freezes (zero
 //!         aborts, >= 0.8x fault-free goodput); fc and ccsynch lose it
-//!         (faulted aborts appear with p99 >= the SLO, and their
+//!         (faulted aborts appear, the smallest >= the SLO, and their
 //!         faulted/fault-free ratio falls below 0.9x of wfl+combine's);
 //!     (d) abort latency p99 <= 2x the armed SLO on combining cells with a
-//!         meaningful abort population;
+//!         meaningful abort population (the p99 is the histogram bucket's
+//!         upper edge, never below the exact value);
 //!     (e) closed-loop throughput: wfl+combine >= 0.9x plain wfl at the
 //!         top of the sweep everywhere, and >= 1.0x where
 //!         `available_parallelism > 1` (on a single hardware thread the
@@ -98,7 +99,7 @@ fn overload_rounds(algo: AlgoKind, smoke: bool) -> usize {
 
 /// The five contenders of the showdown, optionally narrowed by `--algos`.
 /// Plain wfl runs **with** delays so it differs from wfl+combine in
-/// exactly one bit: [`LockConfig::combine`].
+/// exactly one bit: [`wfl_core::LockConfig::combine`].
 fn roster(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
     let all = vec![
         AlgoKind::Wfl { kappa: threads.max(2), delays: true, helping: true },
@@ -139,9 +140,9 @@ struct Cell {
 
 impl Cell {
     fn from_report(report: HarnessReport) -> Cell {
-        let steps_total = report.steps.mean() * report.steps.len() as f64;
+        let steps_total = report.steps.sum();
         let goodput =
-            if steps_total > 0.0 { 1000.0 * report.wins as f64 / steps_total } else { 0.0 };
+            if steps_total > 0 { 1000.0 * report.wins as f64 / steps_total as f64 } else { 0.0 };
         let wins_per_sec = report.wins_per_sec().unwrap_or(0.0);
         let per_pid: Vec<f64> = report.per_pid.iter().map(|&(w, _)| w as f64).collect();
         let jain = jain_index(&per_pid);
@@ -237,30 +238,10 @@ fn run_real_fault(algo: AlgoKind, threads: usize, attempts: usize, faulted: bool
     Cell::from_report(r)
 }
 
-/// The combine batch-size histogram as a JSON object: batch size (peers
-/// per combining winner) -> number of batches.
-fn batch_hist_json(r: &HarnessReport) -> String {
-    let mut counts: Vec<u64> = Vec::new();
-    for &s in r.combine_batch.samples() {
-        let i = s as usize;
-        if counts.len() <= i {
-            counts.resize(i + 1, 0);
-        }
-        counts[i] += 1;
-    }
-    let body: Vec<String> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(size, &c)| format!("\"{size}\": {c}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// One JSON row: experiment-specific fields (the exact-percentile abort
-/// latency keeps its own `abort_p99` key — the uniform block's
-/// `abort_p99_steps` is the fixed-bucket fold), then the uniform
-/// metrics block.
+/// One JSON row: experiment-specific fields, then the uniform metrics
+/// block (which carries the abort p99 as `abort_p99_steps`). The batch
+/// histogram maps batch size (peers per combining winner) to the number
+/// of batches; sizes below 64 have exact buckets.
 #[allow(clippy::too_many_arguments)]
 fn json_cell(
     rows: &mut wfl_bench::Rows,
@@ -282,13 +263,12 @@ fn json_cell(
             ("threads", threads.to_string()),
             ("faulted", faulted.to_string()),
             ("combined_share", format!("{:.4}", c.combined_share)),
-            ("combine_batches", r.combine_batch.len().to_string()),
+            ("combine_batches", r.combine_batch.count().to_string()),
             ("combine_batch_mean", format!("{:.3}", r.combine_batch.mean())),
             ("combine_batch_max", r.combine_batch.max().to_string()),
-            ("combine_batch_hist", batch_hist_json(r)),
+            ("combine_batch_hist", r.combine_batch.to_json()),
             ("goodput_wins_per_kstep", format!("{:.4}", c.goodput)),
             ("jain", format!("{:.4}", c.jain)),
-            ("abort_p99", c.abort_p99.to_string()),
         ],
         &r.metrics(),
     );
@@ -343,7 +323,7 @@ fn main() {
              {} batches (mean {:.2}, max {}) {}",
             c.report.combined_wins,
             c.report.wins,
-            c.report.combine_batch.len(),
+            c.report.combine_batch.count(),
             c.report.combine_batch.mean(),
             c.report.combine_batch.max(),
             verdict(!c.report.combine_batch.is_empty())
@@ -379,21 +359,22 @@ fn main() {
         slo(fault_threads)
     );
     header(&[
-        "algo", "faults", "goodput/kstep", "wins/att", "aborts", "combined", "abort p99", "jain",
+        "algo", "faults", "goodput/kstep", "wins/att", "aborts", "combined",
+        "abort p99 (hist upper edge, <= +1/32)", "jain",
     ]);
     let mut combine_ratio = 0.0f64;
     let mut ratios: Vec<(AlgoKind, f64, u64, u64)> = Vec::new();
     for algo in roster(fault_threads, algo_filter.as_ref()) {
         let mut pair = [0.0f64; 2];
         let mut faulted_aborts = 0u64;
-        let mut faulted_p99 = 0u64;
+        let mut faulted_min = 0u64;
         for faulted in [false, true] {
             let c =
                 run_sim_overload(algo, fault_threads, overload_rounds(algo, smoke), faulted, false);
             pair[faulted as usize] = c.goodput;
             if faulted {
                 faulted_aborts = c.report.aborts;
-                faulted_p99 = c.abort_p99;
+                faulted_min = c.report.abort_steps.min();
             }
             row(&[
                 algo.label().to_string(),
@@ -422,7 +403,7 @@ fn main() {
         if matches!(algo, AlgoKind::WflCombine { .. }) {
             combine_ratio = ratio;
         }
-        ratios.push((algo, ratio, faulted_aborts, faulted_p99));
+        ratios.push((algo, ratio, faulted_aborts, faulted_min));
     }
     println!();
     // Gate (c): the headline claim — freezes cost delegation its
@@ -433,7 +414,7 @@ fn main() {
     // but its *individual* attempts stall past the deadline all the same,
     // which is exactly the guarantee the paper refuses to give up.
     let budget = slo(fault_threads);
-    for (algo, ratio, faulted_aborts, faulted_p99) in &ratios {
+    for (algo, ratio, faulted_aborts, faulted_min) in &ratios {
         match algo {
             AlgoKind::WflCombine { .. } => {
                 let ok = *ratio >= 0.8 && *faulted_aborts == 0;
@@ -446,12 +427,12 @@ fn main() {
             }
             AlgoKind::FlatCombining | AlgoKind::CcSynch if combine_ratio > 0.0 => {
                 let lost_wf = *faulted_aborts > 0
-                    && *faulted_p99 >= budget
+                    && *faulted_min >= budget
                     && *ratio < 0.9 * combine_ratio;
                 println!(
                     "{} under freezes: goodput ratio {ratio:.3}, {faulted_aborts} blown \
-                     deadlines, abort p99 {faulted_p99}; wait-freedom lost (aborts > 0, \
-                     p99 >= SLO {budget}, ratio < 0.9 x wfl+combine {combine_ratio:.3}): {}",
+                     deadlines, abort min {faulted_min}; wait-freedom lost (aborts > 0, \
+                     min >= SLO {budget}, ratio < 0.9 x wfl+combine {combine_ratio:.3}): {}",
                     algo.label(),
                     verdict(lost_wf)
                 );
@@ -519,7 +500,7 @@ fn main() {
                 threads.to_string(),
                 format!("{:.0}", c.wins_per_sec),
                 format!("{:.3}", c.combined_share),
-                format!("{}", c.report.combine_batch.len()),
+                format!("{}", c.report.combine_batch.count()),
                 format!("{:.3}", c.jain),
             ]);
             json_cell(&mut rows, "closed_loop", "real", algo.label(), threads, false, &c);

@@ -13,7 +13,7 @@ use wfl_workloads::harness::{run_random_conflict, AlgoKind, SchedKind, SimSpec};
 
 fn main() {
     println!("# E1: steps per attempt vs kappa (L=2, T=4, delays off => real work)");
-    header(&["kappa", "attempts", "mean steps", "p99 steps", "max steps", "bound c0*k^2*L^2*T"]);
+    header(&["kappa", "attempts", "mean steps", "p99 steps (hist upper edge, <= +1/32)", "max steps", "bound c0*k^2*L^2*T"]);
     let mut points = Vec::new();
     for &kappa in &[2usize, 4, 8, 16] {
         let mut spec = SimSpec::new(kappa, 60, 2, 2);

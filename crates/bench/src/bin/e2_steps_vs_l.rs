@@ -12,7 +12,7 @@ use wfl_workloads::harness::{run_random_conflict, AlgoKind, SimSpec};
 
 fn main() {
     println!("# E2: steps per attempt vs L (kappa=4, T=2L, delays off => real work)");
-    header(&["L", "attempts", "mean steps", "p99 steps", "max steps", "mean/T (normalized)"]);
+    header(&["L", "attempts", "mean steps", "p99 steps (hist upper edge, <= +1/32)", "max steps", "mean/T (normalized)"]);
     let mut raw = Vec::new();
     let mut normalized = Vec::new();
     for &l in &[1usize, 2, 4, 8] {

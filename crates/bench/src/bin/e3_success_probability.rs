@@ -23,13 +23,13 @@ fn main() {
         let r = run_random_conflict(&spec, AlgoKind::Wfl { kappa, delays: true, helping: true });
         assert!(r.safety_ok, "safety violated at kappa={kappa} L={l}");
         let bound = 1.0 / (kappa * l) as f64;
-        let ok = r.success.wilson_lower(2.58) >= bound;
+        let ok = r.success().wilson_lower(2.58) >= bound;
         all_ok &= ok;
         row(&[
             kappa.to_string(),
             l.to_string(),
             r.attempts.to_string(),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{bound:.3}"),
             verdict(ok).to_string(),
         ]);

@@ -24,14 +24,14 @@ fn main() {
             1 << 25,
         );
         assert!(r.safety_ok, "meal counters diverged at n={n}");
-        let ok = r.success.wilson_lower(2.58) >= 0.25;
+        let ok = r.success().wilson_lower(2.58) >= 0.25;
         all_ok &= ok;
         step_means.push(r.steps.mean());
         let min_meals = r.per_pid.iter().map(|&(w, _)| w).min().unwrap_or(0);
         row(&[
             n.to_string(),
             r.attempts.to_string(),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{:.1}", r.steps.mean()),
             r.steps.max().to_string(),
             min_meals.to_string(),

@@ -37,14 +37,14 @@ fn main() {
             let t = 2 * l;
             let log_factor = ((kappa * l * t) as f64).ln().max(1.0);
             let bound = 1.0 / ((kappa * l) as f64 * log_factor);
-            let ok = unknown.success.wilson_lower(2.58) >= bound;
+            let ok = unknown.success().wilson_lower(2.58) >= bound;
             all_ok &= ok;
             row(&[
                 kappa.to_string(),
                 l.to_string(),
                 format!("{sched:?}"),
-                fmt_success(&known.success),
-                fmt_success(&unknown.success),
+                fmt_success(&known.success()),
+                fmt_success(&unknown.success()),
                 format!("{bound:.3}"),
                 verdict(ok).to_string(),
             ]);

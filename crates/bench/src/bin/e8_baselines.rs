@@ -24,7 +24,7 @@ use wfl_workloads::philosophers::Table;
 
 fn throughput_table() {
     println!("## E8a: contended random-conflict workload (4 procs, 3 locks, L=2)");
-    header(&["algo", "wins/attempts", "success (99% lb)", "mean steps", "p99 steps", "max steps"]);
+    header(&["algo", "wins/attempts", "success (99% lb)", "mean steps", "p99 steps (hist upper edge, <= +1/32)", "max steps"]);
     for (name, algo) in [
         ("wfl", AlgoKind::Wfl { kappa: 4, delays: true, helping: true }),
         ("wfl-unknown", AlgoKind::WflUnknown),
@@ -42,7 +42,7 @@ fn throughput_table() {
         row(&[
             name.to_string(),
             format!("{}/{}", r.wins, r.attempts),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{:.0}", r.steps.mean()),
             r.steps.percentile(0.99).to_string(),
             r.steps.max().to_string(),

@@ -41,10 +41,11 @@ pub fn verdict(ok: bool) -> &'static str {
 /// (workload/algo/backend labels), its pre-rendered `raw` JSON fields
 /// (experiment-specific numbers, arrays, nested objects), and then the
 /// **uniform metrics block** rendered from a [`MetricsSnapshot`] —
-/// counters, per-reason `give_up` tallies, fixed-bucket step
-/// percentiles, and the calibrated `steps_per_sec` / `wins_per_sec`
-/// rates (JSON `null` on sim rows, which have no wall clock). The
-/// uniform block is what makes every row comparable across experiments.
+/// counters, per-reason `give_up` tallies, step percentiles (histogram
+/// bucket upper edges, at most 1/32 above the exact value), and the
+/// calibrated `steps_per_sec` / `wins_per_sec` rates (JSON `null` on sim
+/// rows, which have no wall clock). The uniform block is what makes
+/// every row comparable across experiments.
 #[derive(Default)]
 pub struct Rows {
     body: String,

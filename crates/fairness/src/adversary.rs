@@ -18,7 +18,7 @@
 //!
 //! Every attempt's critical section bumps the contested lock's acquisition
 //! counter and appends its unique holder token to the lock's **holder
-//! log** ([`HolderTouch`]); the per-epoch safety check (counter == recorded
+//! log** (`HolderTouch`); the per-epoch safety check (counter == recorded
 //! wins) makes each adversary run a mutual-exclusion test, and recorded
 //! runs feed the logs plus a [`HOLD_OP`]-bracketed history through
 //! `wfl_lincheck::holders` for the holder-exclusivity audit.

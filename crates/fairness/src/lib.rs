@@ -8,10 +8,10 @@
 //! that claim since E7; this crate measures it where it is hardest, on
 //! free-running threads, and packages the measurement machinery:
 //!
-//! * [`telemetry`] — allocation-free fixed-bucket histograms (per-
-//!   acquisition try counts and latencies), per-process success counts,
-//!   max stretch, tail percentiles, and Jain's fairness index, all folded
-//!   per-epoch by `merge` like the harness's `Summary`s.
+//! * [`telemetry`] — allocation-free bounded histograms (per-acquisition
+//!   try counts and latencies), per-process success counts, max stretch,
+//!   tail percentiles, and Jain's fairness index, all folded per-epoch by
+//!   `merge` like the harness's reports.
 //! * [`adversary`] — [`adversary::run_adversary`]: one entry point driving
 //!   the victim-vs-competitors game under any
 //!   [`wfl_workloads::harness::AlgoKind`] on either

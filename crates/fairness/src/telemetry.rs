@@ -1,14 +1,14 @@
-//! Allocation-free, fixed-bucket fairness telemetry.
+//! Allocation-free, fixed-size fairness telemetry.
 //!
 //! The fairness experiments need per-attempt statistics from inside
-//! free-running attempt loops, where a `Vec`-backed
-//! [`wfl_runtime::stats::Summary`] would put an allocation on the hot path
-//! and unbounded memory on a soak. Everything here is fixed-size:
+//! free-running attempt loops, where a growing sample list would put an
+//! allocation on the hot path and unbounded memory on a soak. Everything
+//! here is fixed-size:
 //!
-//! * [`FixedHistogram`] — power-of-two buckets over `u64` samples,
-//!   re-exported from `wfl_obs` (one implementation shared with the
-//!   flight recorder's metric snapshots). Recording is O(1) with no
-//!   allocation and merging conserves counts exactly.
+//! * [`FixedHistogram`] — the bounded log-linear histogram (exact below
+//!   64, at most 1/32 relative bucket width above), re-exported from
+//!   `wfl_obs` (the workspace's one distribution type). Recording is O(1)
+//!   with no allocation and merging conserves counts exactly.
 //! * [`ProcTelemetry`] — one process's fairness view: attempts, wins, a
 //!   try-count histogram (attempts needed per successful acquisition), an
 //!   acquisition-latency histogram (own steps from the first try of an
@@ -20,9 +20,9 @@
 
 use wfl_runtime::stats::Bernoulli;
 
-/// The shared fixed-bucket histogram, now owned by `wfl_obs` so the
-/// flight recorder's metric snapshots and the fairness telemetry use one
-/// implementation. Re-exported here unchanged for existing callers.
+/// The shared bounded histogram, owned by `wfl_obs` so the harness
+/// reports, the metric snapshots and the fairness telemetry use one
+/// implementation. Re-exported here for existing callers.
 pub use wfl_obs::{FixedHistogram, BUCKETS};
 
 /// One process's fairness telemetry (see module docs). Recording is

@@ -1,4 +1,5 @@
-//! Property tests over the telemetry math: histogram bucket edges, count
+//! Property tests over the telemetry math: histogram bucket edges and
+//! resolution, percentiles and books against a sorted reference, count
 //! conservation under the epoch-boundary merge, Jain-index bounds, and
 //! per-process telemetry bookkeeping.
 
@@ -31,13 +32,21 @@ proptest! {
 
     /// Bucket edges are strictly monotone and partition `u64`: every value
     /// lands in exactly the bucket whose `[lo, hi]` range contains it.
+    /// Values below 64 get a bucket of their own (exact); above that a
+    /// bucket is at most `lo / 32` wide.
     #[test]
     fn bucket_edges_monotone_and_containing(seed in 0u64..1_000_000) {
         for (i, v) in stream(seed, 64).into_iter().enumerate() {
             let b = FixedHistogram::bucket_of(v);
             prop_assert!(b < BUCKETS);
-            prop_assert!(FixedHistogram::bucket_lo(b) <= v, "v {v} below bucket {b}");
-            prop_assert!(v <= FixedHistogram::bucket_hi(b), "v {v} above bucket {b}");
+            let (lo, hi) = (FixedHistogram::bucket_lo(b), FixedHistogram::bucket_hi(b));
+            prop_assert!(lo <= v, "v {v} below bucket {b}");
+            prop_assert!(v <= hi, "v {v} above bucket {b}");
+            if v < 64 {
+                prop_assert_eq!((lo, hi), (v, v), "small value {} not exact", v);
+            } else {
+                prop_assert!(hi - lo < lo / 32, "bucket {b} [{lo}, {hi}] wider than lo/32");
+            }
             if i == 0 {
                 for j in 1..BUCKETS {
                     prop_assert!(FixedHistogram::bucket_hi(j - 1) < FixedHistogram::bucket_lo(j));
@@ -47,9 +56,34 @@ proptest! {
         }
     }
 
-    /// Merging conserves counts exactly: every bucket, the total, the sum
-    /// and the max of a merge equal what recording both streams into one
-    /// histogram would have produced.
+    /// Against a sorted reference: `count`/`sum`/`min`/`max` are exact,
+    /// and every percentile is the upper bound of the exact nearest-rank
+    /// sample's bucket — never below it, never outside its bucket.
+    #[test]
+    fn percentiles_bound_the_exact_nearest_rank(seed in 0u64..1_000_000, len in 1usize..300) {
+        let mut sorted = stream(seed, len);
+        let mut h = FixedHistogram::new();
+        for &v in &sorted { h.record(v); }
+        sorted.sort_unstable();
+        prop_assert_eq!(h.count(), len as u64);
+        prop_assert_eq!(h.sum(), sorted.iter().fold(0u64, |a, &v| a.saturating_add(v)));
+        prop_assert_eq!(h.min(), sorted[0]);
+        prop_assert_eq!(h.max(), sorted[len - 1]);
+        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            let exact = sorted[((len - 1) as f64 * q).round() as usize];
+            let p = h.percentile(q);
+            prop_assert!(p >= exact, "q={}: {} below the exact {}", q, p, exact);
+            prop_assert_eq!(
+                FixedHistogram::bucket_of(p),
+                FixedHistogram::bucket_of(exact),
+                "q={}: {} not in the bucket of the exact {}", q, p, exact
+            );
+        }
+    }
+
+    /// Merging conserves counts exactly: every bucket and every book of a
+    /// merge equal what recording both streams into one histogram would
+    /// have produced.
     #[test]
     fn merge_conserves_counts(
         seed_a in 0u64..1_000_000,
@@ -66,10 +100,12 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.count(), both.count());
         prop_assert_eq!(a.sum(), both.sum());
+        prop_assert_eq!(a.min(), both.min());
         prop_assert_eq!(a.max(), both.max());
         for i in 0..BUCKETS {
             prop_assert_eq!(a.bucket_count(i), both.bucket_count(i), "bucket {}", i);
         }
+        prop_assert!(a == both, "merge differs from recording both streams");
         // Percentiles stay monotone and inside the recorded range.
         let mut prev = 0u64;
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {

@@ -1,6 +1,6 @@
 //! Always-compiled, allocation-free observability for the wait-free-locks
 //! workspace: a per-process flight recorder, exporters, and the shared
-//! fixed-bucket histogram.
+//! bounded histogram.
 //!
 //! This crate sits below every other `wfl_*` crate (it depends only on
 //! `std`), so the lock algorithms, the delegation baselines, and both
@@ -18,10 +18,11 @@
 //!   validates emitted traces; [`MetricsSnapshot`] is the per-run fold
 //!   (counters + histograms + clock-lease-calibrated `steps_per_sec`)
 //!   that benchmarks serialize into their `BENCH_*.json` rows.
-//! * [`FixedHistogram`] — the power-of-two bucket histogram previously
-//!   owned by `wfl_fairness::telemetry`, moved here so the recorder,
-//!   the fairness subsystem, and the snapshots share one implementation
-//!   (`wfl_fairness` re-exports it unchanged).
+//! * [`FixedHistogram`] — the bounded log-linear histogram: exact below
+//!   64, at most 1/32 relative bucket width above, fixed memory. It is
+//!   the one distribution type: the harness reports, the fairness
+//!   telemetry (`wfl_fairness` re-exports it) and the snapshots all
+//!   record into it.
 //!
 //! Determinism contract: events carry the emitting process's logical
 //! clock and own-step counter, both of which are uncounted reads — so a

@@ -1,4 +1,4 @@
-//! The per-run metrics fold: counters + fixed histograms + calibrated
+//! The per-run metrics fold: counters + step histograms + calibrated
 //! rates, serialized by the shared writer in `wfl_bench`.
 //!
 //! A [`MetricsSnapshot`] is built by the harness from a finished run
@@ -10,7 +10,7 @@
 //! the same logical clock the §2.1 leases batch, which is what converts
 //! step-denominated deadlines into wall time.
 
-use crate::hist::{FixedHistogram, BUCKETS};
+use crate::hist::FixedHistogram;
 use crate::json::escape;
 use std::fmt::Write as _;
 
@@ -53,18 +53,6 @@ impl MetricsSnapshot {
         format!("{{{}}}", body.join(", "))
     }
 
-    /// A histogram as a sparse JSON object keyed by bucket lower edge.
-    fn hist_json(h: &FixedHistogram) -> String {
-        let mut body = Vec::new();
-        for i in 0..BUCKETS {
-            let c = h.bucket_count(i);
-            if c > 0 {
-                body.push(format!("\"{}\": {}", FixedHistogram::bucket_lo(i), c));
-            }
-        }
-        format!("{{{}}}", body.join(", "))
-    }
-
     fn opt_json(v: Option<f64>) -> String {
         v.map_or("null".to_string(), |x| format!("{x:.3}"))
     }
@@ -94,7 +82,7 @@ impl MetricsSnapshot {
             self.steps.percentile(0.50),
             self.steps.percentile(0.99),
             self.steps.max(),
-            Self::hist_json(&self.steps)
+            self.steps.to_json()
         );
         let _ = writeln!(
             out,
@@ -102,7 +90,7 @@ impl MetricsSnapshot {
             self.abort_steps.count(),
             self.abort_steps.percentile(0.50),
             self.abort_steps.percentile(0.99),
-            Self::hist_json(&self.abort_steps)
+            self.abort_steps.to_json()
         );
         let _ = writeln!(out, "  \"wall_secs\": {},", Self::opt_json(self.wall_secs));
         let _ = writeln!(out, "  \"steps_per_sec\": {},", Self::opt_json(self.steps_per_sec));
@@ -142,7 +130,7 @@ mod tests {
         assert_eq!(v.get("attempts").unwrap().as_num(), Some(10.0));
         assert_eq!(v.get("give_up").unwrap().get("deadline").unwrap().as_num(), Some(2.0));
         assert_eq!(v.get("steps").unwrap().get("count").unwrap().as_num(), Some(4.0));
-        assert!(v.get("steps").unwrap().get("buckets").unwrap().get("8").is_some());
+        assert!(v.get("steps").unwrap().get("buckets").unwrap().get("10").is_some());
         assert_eq!(v.get("steps_per_sec").unwrap().as_num(), Some(1.25e6));
         // A sim-style snapshot serializes rates as nulls.
         let sim = MetricsSnapshot::default();

@@ -64,7 +64,8 @@ use wfl_runtime::real::{run_threads_epochs, RealConfig};
 use wfl_runtime::rng::Pcg;
 use wfl_runtime::schedule::{Bursty, PeriodicFaults, RoundRobin, Schedule, SeededRandom, Weighted};
 use wfl_runtime::sim::SimBuilder;
-use wfl_runtime::stats::{Bernoulli, Summary};
+use wfl_obs::FixedHistogram;
+use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, AllocMode, Ctx, Event, Heap, History};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
@@ -337,7 +338,7 @@ impl ExecMode {
 }
 
 /// Results of a harness run, aggregated across every epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HarnessReport {
     /// Total attempts made (completed rounds; timed real runs stop early —
     /// or, with epochs, keep going until the deadline).
@@ -345,9 +346,7 @@ pub struct HarnessReport {
     /// Total successful attempts.
     pub wins: u64,
     /// Per-attempt own-step counts.
-    pub steps: Summary,
-    /// Success-rate estimator over all attempts.
-    pub success: Bernoulli,
+    pub steps: FixedHistogram,
     /// Per-process (wins, attempts).
     pub per_pid: Vec<(u64, u64)>,
     /// Whether **every epoch's** workload invariant matched its recorded
@@ -363,7 +362,7 @@ pub struct HarnessReport {
     /// Per-attempt own-step counts of the aborted attempts alone — the
     /// abort *latency* distribution (steps from round start to bailing
     /// out). Its tail against the armed budget is E16's abort-p99 gate.
-    pub abort_steps: Summary,
+    pub abort_steps: FixedHistogram,
     /// Wins granted by a combining holder (wfl's [`LockConfig::combine`]
     /// fast path, or a delegation baseline's combiner applying the request)
     /// rather than by the attempt's own competition. A subset of `wins`,
@@ -372,7 +371,7 @@ pub struct HarnessReport {
     /// Batch sizes observed by combining winners: one sample per winner
     /// that applied at least one peer request (the sample is the peer
     /// count). Empty when combining never fired — E17's histogram gate.
-    pub combine_batch: Summary,
+    pub combine_batch: FixedHistogram,
     /// Give-up events by reason, indexed by [`GiveUp::index`]: per-attempt
     /// aborts land under `Deadline`/`Stop`; a batch cut short by heap
     /// pressure or the stop flag adds one `HeapLow`/`Stop` event per
@@ -398,6 +397,41 @@ pub struct HarnessReport {
 }
 
 impl HarnessReport {
+    /// A report of zero epochs over `nprocs` processes: the identity of
+    /// [`HarnessReport::merge`].
+    fn empty(nprocs: usize) -> HarnessReport {
+        HarnessReport { per_pid: vec![(0, 0); nprocs], safety_ok: true, ..Default::default() }
+    }
+
+    /// Folds one epoch's report (from [`Outcomes::aggregate`]) into the
+    /// whole-run report; `safe` is that epoch's safety verdict. The
+    /// run-level fields (wall, high water, history, trace) are set by the
+    /// driver once the run ends.
+    fn merge(&mut self, epoch: &HarnessReport, safe: bool) {
+        self.attempts += epoch.attempts;
+        self.wins += epoch.wins;
+        self.steps.merge(&epoch.steps);
+        for (acc, e) in self.per_pid.iter_mut().zip(&epoch.per_pid) {
+            acc.0 += e.0;
+            acc.1 += e.1;
+        }
+        self.safety_ok &= safe;
+        self.aborts += epoch.aborts;
+        self.rescues += epoch.rescues;
+        self.abort_steps.merge(&epoch.abort_steps);
+        self.combined_wins += epoch.combined_wins;
+        self.combine_batch.merge(&epoch.combine_batch);
+        for (acc, e) in self.give_up.iter_mut().zip(&epoch.give_up) {
+            *acc += e;
+        }
+        self.epochs += epoch.epochs;
+    }
+
+    /// The success-rate estimator over all attempts.
+    pub fn success(&self) -> Bernoulli {
+        Bernoulli { successes: self.wins, trials: self.attempts }
+    }
+
     /// Successful acquisitions per wall-clock second (real runs only).
     pub fn wins_per_sec(&self) -> Option<f64> {
         self.wall.map(|w| self.wins as f64 / w.as_secs_f64().max(1e-12))
@@ -419,21 +453,12 @@ impl HarnessReport {
 
     /// Folds the report into the uniform [`wfl_obs::MetricsSnapshot`] the
     /// shared `wfl_bench` row writer serializes: counters, per-reason
-    /// give-up tallies under their stable labels, the step summaries
-    /// rebucketed into fixed power-of-two histograms, and the calibrated
-    /// wall-clock rates (real runs only; `steps_per_sec` is total own
-    /// steps over the wall, the number that converts step-denominated
-    /// deadlines into time).
+    /// give-up tallies under their stable labels, the step histograms,
+    /// and the calibrated wall-clock rates (real runs only;
+    /// `steps_per_sec` is total own steps over the wall, the number that
+    /// converts step-denominated deadlines into time).
     pub fn metrics(&self) -> wfl_obs::MetricsSnapshot {
-        let fold = |s: &Summary| {
-            let mut h = wfl_obs::FixedHistogram::default();
-            for &v in s.samples() {
-                h.record(v);
-            }
-            h
-        };
         let wall_secs = self.wall.map(|w| w.as_secs_f64().max(1e-12));
-        let total_steps: u64 = self.steps.samples().iter().sum();
         wfl_obs::MetricsSnapshot {
             attempts: self.attempts,
             wins: self.wins,
@@ -441,14 +466,14 @@ impl HarnessReport {
             rescues: self.rescues,
             combined_wins: self.combined_wins,
             epochs: self.epochs,
-            steps: fold(&self.steps),
-            abort_steps: fold(&self.abort_steps),
+            steps: self.steps.clone(),
+            abort_steps: self.abort_steps.clone(),
             give_up: GiveUp::all()
                 .iter()
                 .map(|g| (g.label(), self.give_up[g.index()]))
                 .collect(),
             wall_secs,
-            steps_per_sec: wall_secs.map(|w| total_steps as f64 / w),
+            steps_per_sec: wall_secs.map(|w| self.steps.sum() as f64 / w),
             wins_per_sec: self.wins_per_sec(),
         }
     }
@@ -574,18 +599,9 @@ impl Outcomes {
     /// `on_win(pid, global_round)` for every recorded win so the caller can
     /// reconstruct the workload-specific expectation.
     fn aggregate(&self, heap: &Heap, mut on_win: impl FnMut(usize, usize)) -> HarnessReport {
-        let mut steps = Summary::new();
-        let mut success = Bernoulli::default();
-        let mut per_pid = vec![(0u64, 0u64); self.nprocs];
-        let mut attempts = 0u64;
-        let mut wins = 0u64;
-        let mut aborts = 0u64;
-        let mut rescues = 0u64;
-        let mut abort_steps = Summary::new();
-        let mut give_up = [0u64; GiveUp::COUNT];
-        let mut combined_wins = 0u64;
-        let mut combine_batch = Summary::new();
-        for (pid, pp) in per_pid.iter_mut().enumerate() {
+        let mut r = HarnessReport::empty(self.nprocs);
+        r.epochs = 1;
+        for (pid, pp) in r.per_pid.iter_mut().enumerate() {
             for slot in 0..self.cap {
                 let idx = self.idx(pid, slot);
                 let o = heap.peek(self.outcomes.off(idx));
@@ -593,30 +609,28 @@ impl Outcomes {
                     continue; // round not run (timed run stopped first)
                 }
                 let bits = o - 1;
-                attempts += 1;
+                r.attempts += 1;
                 pp.1 += 1;
-                let won = bits & OUT_WON != 0;
-                success.record(won);
                 let own_steps = heap.peek(self.steps.off(idx));
-                steps.push(own_steps);
+                r.steps.record(own_steps);
                 if bits & OUT_ABORTED != 0 {
-                    aborts += 1;
-                    abort_steps.push(own_steps);
+                    r.aborts += 1;
+                    r.abort_steps.record(own_steps);
                     let reason = if bits & OUT_STOPPING != 0 { GiveUp::Stop } else { GiveUp::Deadline };
-                    give_up[reason.index()] += 1;
+                    r.give_up[reason.index()] += 1;
                 }
                 if bits & OUT_RESCUED != 0 {
-                    rescues += 1;
+                    r.rescues += 1;
                 }
                 if bits & OUT_COMBINED != 0 {
-                    combined_wins += 1;
+                    r.combined_wins += 1;
                 }
                 let peers = bits >> OUT_PEERS_SHIFT;
                 if peers > 0 {
-                    combine_batch.push(peers);
+                    r.combine_batch.record(peers);
                 }
-                if won {
-                    wins += 1;
+                if bits & OUT_WON != 0 {
+                    r.wins += 1;
                     pp.0 += 1;
                     on_win(pid, self.base_round + slot);
                 }
@@ -625,111 +639,10 @@ impl Outcomes {
             if brk != 0 {
                 let idx = (brk - 1) as usize;
                 assert!(idx < GiveUp::COUNT, "corrupt batch-exit word {brk}");
-                give_up[idx] += 1;
+                r.give_up[idx] += 1;
             }
         }
-        HarnessReport {
-            attempts,
-            wins,
-            steps,
-            success,
-            per_pid,
-            safety_ok: true,
-            aborts,
-            rescues,
-            abort_steps,
-            combined_wins,
-            combine_batch,
-            give_up,
-            wall: None,
-            epochs: 1,
-            heap_high_water: 0,
-            heap_high_water_lanes: Vec::new(),
-            history: History::default(),
-            trace: None,
-        }
-    }
-}
-
-/// Accumulates per-epoch reports into the whole-run report.
-struct Totals {
-    attempts: u64,
-    wins: u64,
-    steps: Summary,
-    success: Bernoulli,
-    per_pid: Vec<(u64, u64)>,
-    safety_ok: bool,
-    aborts: u64,
-    rescues: u64,
-    abort_steps: Summary,
-    combined_wins: u64,
-    combine_batch: Summary,
-    give_up: [u64; GiveUp::COUNT],
-    epochs: u64,
-}
-
-impl Totals {
-    fn new(nprocs: usize) -> Totals {
-        Totals {
-            attempts: 0,
-            wins: 0,
-            steps: Summary::new(),
-            success: Bernoulli::default(),
-            per_pid: vec![(0, 0); nprocs],
-            safety_ok: true,
-            aborts: 0,
-            rescues: 0,
-            abort_steps: Summary::new(),
-            combined_wins: 0,
-            combine_batch: Summary::new(),
-            give_up: [0; GiveUp::COUNT],
-            epochs: 0,
-        }
-    }
-
-    fn merge(&mut self, epoch_report: &HarnessReport, safe: bool) {
-        self.attempts += epoch_report.attempts;
-        self.wins += epoch_report.wins;
-        self.steps.merge(&epoch_report.steps);
-        self.success.successes += epoch_report.success.successes;
-        self.success.trials += epoch_report.success.trials;
-        for (acc, e) in self.per_pid.iter_mut().zip(&epoch_report.per_pid) {
-            acc.0 += e.0;
-            acc.1 += e.1;
-        }
-        self.safety_ok &= safe;
-        self.aborts += epoch_report.aborts;
-        self.rescues += epoch_report.rescues;
-        self.abort_steps.merge(&epoch_report.abort_steps);
-        self.combined_wins += epoch_report.combined_wins;
-        self.combine_batch.merge(&epoch_report.combine_batch);
-        for (acc, e) in self.give_up.iter_mut().zip(&epoch_report.give_up) {
-            *acc += e;
-        }
-        self.epochs += 1;
-    }
-
-    fn into_report(self, wall: Option<Duration>, state: &EpochState, history: History) -> HarnessReport {
-        HarnessReport {
-            attempts: self.attempts,
-            wins: self.wins,
-            steps: self.steps,
-            success: self.success,
-            per_pid: self.per_pid,
-            safety_ok: self.safety_ok,
-            aborts: self.aborts,
-            rescues: self.rescues,
-            abort_steps: self.abort_steps,
-            combined_wins: self.combined_wins,
-            combine_batch: self.combine_batch,
-            give_up: self.give_up,
-            wall,
-            epochs: self.epochs,
-            heap_high_water: state.high_water(),
-            heap_high_water_lanes: state.high_water_lanes(),
-            history,
-            trace: None,
-        }
+        r
     }
 }
 
@@ -857,7 +770,14 @@ enum AlgoInstance<'reg> {
 }
 
 impl<'reg> AlgoInstance<'reg> {
-    fn create(heap: &Heap, registry: &'reg Registry, spec: &AlgoSpec) -> AlgoInstance<'reg> {
+    /// `nprocs` sizes the delegation baselines' per-process publication
+    /// records; the paper's algorithms use `spec.aset` instead.
+    fn create(
+        heap: &Heap,
+        registry: &'reg Registry,
+        spec: &AlgoSpec,
+        nprocs: usize,
+    ) -> AlgoInstance<'reg> {
         let layout = spec.layout;
         match spec.kind {
             // WflCombine differs only in `spec.cfg.combine` (see
@@ -891,19 +811,16 @@ impl<'reg> AlgoInstance<'reg> {
                 spec.nlocks,
                 layout.placement,
             )),
-            // The delegation baselines size their per-process publication
-            // records by the process count; `aset` is exactly
-            // `nprocs.max(2)` everywhere the harness builds a spec.
             AlgoKind::FlatCombining => AlgoInstance::Fc(FcLock::create_root_placed(
                 heap,
                 registry,
-                spec.aset,
+                nprocs.max(2),
                 layout.placement,
             )),
             AlgoKind::CcSynch => AlgoInstance::Cc(CcSynch::create_root_placed(
                 heap,
                 registry,
-                spec.aset,
+                nprocs.max(2),
                 layout.placement,
             )),
         }
@@ -978,7 +895,7 @@ impl<'reg> AlgoHandle<'reg> {
     ) -> AlgoHandle<'reg> {
         let cfg = known_cfg(kind, nprocs, l_max, t_max);
         let spec = AlgoSpec { kind, nlocks, aset: nprocs.max(2), layout, cfg };
-        AlgoHandle { registry, instance: AlgoInstance::create(heap, registry, &spec) }
+        AlgoHandle { registry, instance: AlgoInstance::create(heap, registry, &spec, nprocs) }
     }
 
     /// Lends the instance as a `&dyn LockAlgo`.
@@ -1144,14 +1061,14 @@ fn drive_epochs<WL: EpochWorkload>(
         spec.cfg.combine &= sched.allows_combining();
     }
     let make_world = |epoch: usize| World {
-        algo: AlgoInstance::create(heap, registry, &spec),
+        algo: AlgoInstance::create(heap, registry, &spec, nprocs),
         roots: wl.re_root(heap),
         rec: Outcomes::create_root(heap, nprocs, epoch_len, epoch * epoch_len),
     };
 
     let mut report = match *mode {
         ExecMode::Sim { sched, max_steps, .. } => {
-            let mut totals = Totals::new(nprocs);
+            let mut totals = HarnessReport::empty(nprocs);
             let mut events: Vec<Event> = Vec::new();
             let mut epoch = 0usize;
             loop {
@@ -1200,7 +1117,8 @@ fn drive_epochs<WL: EpochWorkload>(
                 }
                 state.advance(heap);
             }
-            totals.into_report(None, &state, History::from_parts(vec![events]))
+            totals.history = History::from_parts(vec![events]);
+            totals
         }
         ExecMode::Real { threads, run_for, cfg, epoch_rounds, .. } => {
             assert_eq!(
@@ -1213,7 +1131,7 @@ fn drive_epochs<WL: EpochWorkload>(
             let unbounded = run_for.is_some() && epoch_rounds.is_some();
             let sync = EpochSync::new(nprocs);
             let slot_world = RwLock::new(make_world(0));
-            let totals = Mutex::new(Totals::new(nprocs));
+            let totals = Mutex::new(HarnessReport::empty(nprocs));
             let (sync_ref, state_ref, world_ref, totals_ref, make_world_ref) =
                 (&sync, &state, &slot_world, &totals, &make_world);
             let report = run_threads_epochs(heap, nprocs, seed, run_for, cfg, &state, &sync, |pid| {
@@ -1277,7 +1195,7 @@ fn drive_epochs<WL: EpochWorkload>(
                 }
             });
             report.assert_clean();
-            let totals = totals.into_inner().unwrap();
+            let mut totals = totals.into_inner().unwrap();
             // The driver-stamped epoch count (from the EpochState the
             // leaders advanced) must agree with the boundary merges — a
             // divergence means a worker body skipped the epoch protocol.
@@ -1285,9 +1203,13 @@ fn drive_epochs<WL: EpochWorkload>(
                 report.epochs, totals.epochs,
                 "driver epoch count disagrees with boundary aggregation"
             );
-            totals.into_report(Some(report.wall), &state, report.history)
+            totals.wall = Some(report.wall);
+            totals.history = report.history;
+            totals
         }
     };
+    report.heap_high_water = state.high_water();
+    report.heap_high_water_lanes = state.high_water_lanes();
     if recording {
         wfl_obs::rec::disable();
         report.trace = Some(wfl_obs::rec::snapshot());
@@ -2145,7 +2067,7 @@ mod tests {
         assert!(r.combined_wins <= r.wins);
         // Each combined win was granted by exactly one batch sample peer.
         assert!(
-            r.combine_batch.len() as u64 <= r.combined_wins.max(r.wins),
+            r.combine_batch.count() <= r.combined_wins.max(r.wins),
             "more batches than winners"
         );
     }
@@ -2193,6 +2115,19 @@ mod tests {
         );
         assert!(r.safety_ok);
         assert_eq!(r.attempts, 20);
+    }
+
+    /// The delegation baselines serve every seat: their publication
+    /// records are sized by the process count, not the 3-slot active sets
+    /// the philosophers' wfl spec uses.
+    #[test]
+    fn philosophers_delegation_serves_five_seats() {
+        for algo in [AlgoKind::FlatCombining, AlgoKind::CcSynch] {
+            let r = run_philosophers(5, 6, 3, SchedKind::Random, algo, 1 << 22);
+            assert!(r.safety_ok, "{algo:?}");
+            assert_eq!(r.attempts, 30, "{algo:?}");
+            assert!(r.per_pid.iter().all(|&(w, _)| w > 0), "{algo:?}: a seat never ate");
+        }
     }
 
     // ----- unified-backend coverage: the same drivers on real threads -----
@@ -2354,7 +2289,7 @@ mod tests {
             );
             assert_eq!(r.per_pid.iter().map(|p| p.1).sum::<u64>(), 30);
             assert_eq!(r.per_pid.iter().map(|p| p.0).sum::<u64>(), r.wins);
-            assert_eq!(r.steps.len() as u64, r.attempts, "one step sample per attempt");
+            assert_eq!(r.steps.count(), r.attempts, "one step sample per attempt");
         }
     }
 

@@ -53,14 +53,14 @@ fn run_cell(algo: AlgoKind, faulted: bool, rounds: usize) -> HarnessReport {
 
 /// Wins per own-step across all attempts — the sim goodput metric.
 fn goodput(r: &HarnessReport) -> f64 {
-    let steps_total = r.steps.mean() * r.steps.len() as f64;
-    assert!(steps_total > 0.0);
-    r.wins as f64 / steps_total
+    let steps_total = r.steps.sum();
+    assert!(steps_total > 0);
+    r.wins as f64 / steps_total as f64
 }
 
 /// The headline claim, deterministic arm: freezes cost fc and ccsynch
 /// their wait-freedom — pending requests pinned behind the frozen
-/// combiner blow the SLO (aborts appear with p99 at or past the budget)
+/// combiner blow the SLO (aborts appear, every one at or past the budget)
 /// and goodput degrades below wfl+combine's faulted/fault-free ratio —
 /// while wfl+combine blows zero deadlines and keeps >= 0.8x of its
 /// fault-free goodput.
@@ -91,10 +91,10 @@ fn combiner_freeze_collapses_delegation_but_not_wfl_combine() {
             algo.label()
         );
         assert!(
-            faulted.abort_steps.percentile(0.99) >= SLO,
-            "{}: abort p99 {} under the SLO {SLO}",
+            faulted.abort_steps.min() >= SLO,
+            "{}: an abort at {} steps came in under the SLO {SLO}",
             algo.label(),
-            faulted.abort_steps.percentile(0.99)
+            faulted.abort_steps.min()
         );
         assert!(
             ratio < 0.9 * combine_ratio,

@@ -28,7 +28,7 @@ fn main() {
             "{:>14} | {:>8} | {:>11.3} | {:>10.1} | {:>9} | every philosopher ate >= {} times",
             n,
             report.attempts,
-            report.success.rate(),
+            report.success().rate(),
             report.steps.mean(),
             report.steps.max(),
             min_wins,

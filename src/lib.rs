@@ -30,7 +30,7 @@
 //!   list, graph updates, and the experiment harness.
 //! * [`lincheck`] — linearizability, set-regularity and holder-
 //!   exclusivity checkers used by the test suite.
-//! * [`fairness`] — fairness telemetry (fixed-bucket histograms, Jain
+//! * [`fairness`] — fairness telemetry (bounded histograms, Jain
 //!   index) and the adaptive player adversary on both backends (E15).
 //!
 //! The most common entry points are also re-exported at the top level.

@@ -37,7 +37,7 @@ fn audit(r: &HarnessReport, deadline: u64, label: &str) {
         "{label}: non-rescued aborts and wins must be disjoint attempts"
     );
     assert_eq!(
-        r.abort_steps.len() as u64,
+        r.abort_steps.count(),
         r.aborts,
         "{label}: abort latency book must cover the aborts exactly"
     );
@@ -112,5 +112,5 @@ fn faulted_deadline_cells_replay_identically() {
         "outcome book must be schedule-deterministic under faults"
     );
     assert_eq!(a.steps.max(), b.steps.max());
-    assert_eq!(a.abort_steps.len(), b.abort_steps.len());
+    assert_eq!(a.abort_steps.count(), b.abort_steps.count());
 }

@@ -87,7 +87,7 @@ fn recording_does_not_perturb_the_run() {
     assert_eq!(plain.rescues, recorded.rescues);
     assert_eq!(plain.give_up, recorded.give_up);
     assert_eq!(plain.per_pid, recorded.per_pid);
-    assert_eq!(plain.steps.samples(), recorded.steps.samples());
+    assert_eq!(plain.steps, recorded.steps);
 }
 
 #[test]
